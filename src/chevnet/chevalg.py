@@ -359,10 +359,6 @@ def compute_structure_constants(rs: RootSystem) -> StructureConstants:
     return sc
 
 
-def generator_template(sc: StructureConstants, root: int) -> GeneratorTemplate:
-    return sc.template(root)
-
-
 # ---------------------------------------------------------------------------
 # Lie elements over a ring
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import _kernels as K
 from .chevalg import LSigma, StructureConstants, compute_structure_constants
-from .nets import Net, net_image
+from .nets import Net, net_image, net_intersect_ideal
 from .ringkit import (FiniteRing, Ideal, LocalDecomposition,
-                      local_decomposition, quotient_ring)
+                      local_decomposition, quotient_ring, unit_ideal)
 from .rootsys import RootSystem
 
 
@@ -127,13 +127,6 @@ class Subgroup:
             g if isinstance(g, bytes) else np.ascontiguousarray(g, dtype=np.int32).tobytes())
         return key in self.key2idx
 
-    def contains_all(self, mats: np.ndarray) -> bool:
-        return all(mats[i].tobytes() in self.key2idx for i in range(len(mats)))
-
-    def element(self, i: int) -> GroupElement:
-        m = self.mats[i]
-        return GroupElement(self.ctx, m, self.words.get(m.tobytes()))
-
     def keys(self):
         return self.key2idx.keys()
 
@@ -192,9 +185,12 @@ class AdjointGroup:
         return self._decomp
 
     def factor_contexts(self) -> list["AdjointGroup"]:
+        """One context per local factor; a local ring is its own only factor,
+        so its groups are enumerated once."""
         if self._factor_ctx is None:
-            self._factor_ctx = [AdjointGroup(self.rs, f.ring)
-                                for f in self.decomposition().factors]
+            dec = self.decomposition()
+            self._factor_ctx = [self] if dec.is_local else [
+                AdjointGroup(self.rs, f.ring) for f in dec.factors]
         return self._factor_ctx
 
     def quotient_data(self, ideal: Ideal):
@@ -349,10 +345,7 @@ class AdjointGroup:
     # -- ambient group --------------------------------------------------------------
 
     def full_group_generators(self) -> list[GroupElement]:
-        gens = []
-        for root in self.rs.gauss_order:
-            for xi in range(1, self.ring.size):
-                gens.append(self.x(root, xi))
+        gens = E_sigma_generators(self, [unit_ideal(self.ring)] * self.rs.nroots)
         for chars in self.torus_chars():
             g = self.torus(chars)
             if not g.is_identity():
@@ -395,11 +388,7 @@ class AdjointGroup:
             self._order = len(self.full_group(budget))
             return self._order
         residue = self.residue_context().full_group_order(budget)
-        gens = []
-        for root in self.rs.gauss_order:
-            for xi in sorted(j.members):
-                if xi:
-                    gens.append(self.x(root, xi))
+        gens = E_sigma_generators(self, [j] * self.rs.nroots)
         gens += [self.torus(c) for c in self.torus_congruence_chars(j)]
         kernel = generate(self, gens, budget, what="congruence kernel")
         self._order = residue * len(kernel)
@@ -535,20 +524,37 @@ class CongruenceFilter:
         return (self.rho.table[mats] == self.target[None]).all(axis=(1, 2))
 
 
-def congruence_subgroup(ctx: AdjointGroup, ideal: Ideal) -> CongruenceFilter:
-    return CongruenceFilter(ctx, ideal)
-
-
 # ---------------------------------------------------------------------------
 # net subgroups
 
 
-def E_sigma_generators(ctx: AdjointGroup, net: Net) -> list[GroupElement]:
+def E_sigma_generators(ctx: AdjointGroup, family) -> list[GroupElement]:
+    """x_alpha(xi) for every nonzero xi in family[alpha]; the family is any
+    root -> ideal assignment (a net, or a net cut down to an ideal)."""
+    return [ctx.x(root, xi) for root in ctx.rs.gauss_order
+            for xi in sorted(family[root].members) if xi]
+
+
+def transvections(ctx: AdjointGroup, net: Net, ideal: Ideal) -> list[GroupElement]:
+    """SL2-transvection images over Delta with every zeta, eta and nonzero
+    xi in I, ordered by (root, zeta, eta, xi)."""
+    size = ctx.ring.size
+    xis = [xi for xi in sorted(ideal.members) if xi]
+    return [ctx.transvection(root, zeta, eta, xi) for root in sorted(net.delta.members)
+            for zeta in range(size) for eta in range(size) for xi in xis]
+
+
+def conjugated_root_elements(ctx: AdjointGroup, net: Net, ideal: Ideal) -> list[GroupElement]:
+    """x_{-alpha}(zeta) x_alpha(xi) x_{-alpha}(-zeta) for xi in sigma_alpha cap I
+    and zeta in sigma_{-alpha}."""
+    neg = ctx.ring.neg
     gens = []
     for root in ctx.rs.gauss_order:
-        for xi in sorted(net.sigma[root].members):
+        nroot = int(ctx.rs.neg[root])
+        for xi in sorted(net.sigma[root].members & ideal.members):
             if xi:
-                gens.append(ctx.x(root, xi))
+                gens += [ctx.x(nroot, zeta) * ctx.x(root, xi) * ctx.x(nroot, int(neg[zeta]))
+                         for zeta in sorted(net.sigma[nroot].members)]
     return gens
 
 
@@ -556,23 +562,9 @@ def E_sigma(ctx: AdjointGroup, net: Net, budget: int) -> Subgroup:
     return generate(ctx, E_sigma_generators(ctx, net), budget, what="E(sigma)")
 
 
-def E_hat_generators(ctx: AdjointGroup, net: Net) -> list[GroupElement]:
-    gens = E_sigma_generators(ctx, net)
-    seen = {g.key for g in gens}
-    r = ctx.ring
-    for root in sorted(net.delta.members):
-        for zeta in range(r.size):
-            for eta in range(r.size):
-                for xi in range(1, r.size):
-                    t = ctx.transvection(root, zeta, eta, xi)
-                    if t.key not in seen and t.key != ctx.identity_key:
-                        seen.add(t.key)
-                        gens.append(t)
-    return gens
-
-
 def E_hat_sigma(ctx: AdjointGroup, net: Net, budget: int) -> Subgroup:
-    return generate(ctx, E_hat_generators(ctx, net), budget, what="Ehat(sigma)")
+    gens = E_sigma_generators(ctx, net) + transvections(ctx, net, unit_ideal(ctx.ring))
+    return generate(ctx, gens, budget, what="Ehat(sigma)")
 
 
 def W_bar(ctx: AdjointGroup, budget: int) -> Subgroup:
@@ -676,30 +668,6 @@ def S_sigma_relative(ctx: AdjointGroup, s_sigma: Subgroup, ideal: Ideal) -> Subg
 # -- relative elementary subgroups ------------------------------------------------
 
 
-def relative_base_generators(ctx: AdjointGroup, net: Net, ideal: Ideal):
-    """x_alpha(sigma_alpha cap I) plus transvections with xi in I."""
-    gens = []
-    seen = set()
-    for root in ctx.rs.gauss_order:
-        for xi in sorted(net.sigma[root].members & ideal.members):
-            if xi:
-                g = ctx.x(root, xi)
-                if g.key not in seen:
-                    seen.add(g.key)
-                    gens.append(g)
-    r = ctx.ring
-    for root in sorted(net.delta.members):
-        for zeta in range(r.size):
-            for eta in range(r.size):
-                for xi in sorted(ideal.members):
-                    if xi:
-                        t = ctx.transvection(root, zeta, eta, xi)
-                        if t.key not in seen and t.key != ctx.identity_key:
-                            seen.add(t.key)
-                            gens.append(t)
-    return gens
-
-
 def normal_closure(ctx: AdjointGroup, base_gens, conjugators, budget: int,
                    what: str = "normal closure") -> Subgroup:
     """Smallest subgroup containing base_gens closed under conjugation by the
@@ -741,55 +709,10 @@ def normal_closure(ctx: AdjointGroup, base_gens, conjugators, budget: int,
 def E_hat_relative(ctx: AdjointGroup, net: Net, ideal: Ideal, budget: int) -> Subgroup:
     """Ehat(sigma, I): normal closure in Ehat(sigma) of the relative
     generators."""
-    base = relative_base_generators(ctx, net, ideal)
-    conj = E_hat_generators(ctx, net)
+    base = (E_sigma_generators(ctx, net_intersect_ideal(net, ideal))
+            + transvections(ctx, net, ideal))
+    conj = E_sigma_generators(ctx, net) + transvections(ctx, net, unit_ideal(ctx.ring))
     return normal_closure(ctx, base, conj, budget, what="Ehat(sigma,I)")
-
-
-def prop1_generators(ctx: AdjointGroup, net: Net, ideal: Ideal):
-    """Conjugated root elements + transvections (no normal closure)."""
-    r = ctx.ring
-    gens = []
-    seen = set()
-    for root in ctx.rs.gauss_order:
-        nroot = int(ctx.rs.neg[root])
-        for xi in sorted(net.sigma[root].members & ideal.members):
-            if not xi:
-                continue
-            for zeta in sorted(net.sigma[nroot].members):
-                g = ctx.x(nroot, zeta) * ctx.x(root, xi) * ctx.x(nroot, int(r.neg[zeta]))
-                if g.key not in seen and g.key != ctx.identity_key:
-                    seen.add(g.key)
-                    gens.append(g)
-    for root in sorted(net.delta.members):
-        for zeta in range(r.size):
-            for eta in range(r.size):
-                for xi in sorted(ideal.members):
-                    if xi:
-                        t = ctx.transvection(root, zeta, eta, xi)
-                        if t.key not in seen and t.key != ctx.identity_key:
-                            seen.add(t.key)
-                            gens.append(t)
-    return gens
-
-
-def prop2_generators(ctx: AdjointGroup, net: Net, ideal: Ideal):
-    """Conjugated root elements only (valid target when Delta has no A1
-    components)."""
-    r = ctx.ring
-    gens = []
-    seen = set()
-    for root in ctx.rs.gauss_order:
-        nroot = int(ctx.rs.neg[root])
-        for xi in sorted(net.sigma[root].members & ideal.members):
-            if not xi:
-                continue
-            for zeta in sorted(net.sigma[nroot].members):
-                g = ctx.x(nroot, zeta) * ctx.x(root, xi) * ctx.x(nroot, int(r.neg[zeta]))
-                if g.key not in seen and g.key != ctx.identity_key:
-                    seen.add(g.key)
-                    gens.append(g)
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +733,8 @@ class QuotientStructure:
 
 
 def subgroup_generators(sub: Subgroup) -> list[GroupElement]:
-    """A small generating set, derived incrementally if none was recorded."""
+    """A small generating set, derived incrementally (and then recorded on
+    the subgroup) if none was recorded."""
     if sub.generators:
         return sub.generators
     ctx = sub.ctx
@@ -824,19 +748,15 @@ def subgroup_generators(sub: Subgroup) -> list[GroupElement]:
         have = set(generate(ctx, gens, len(sub) + 1, what="gens").keys())
         if len(have) == len(sub):
             break
+    sub.generators = gens
     return gens
 
 
-def is_normal_in(ctx: AdjointGroup, sub: Subgroup, big: Subgroup,
-                 conj_cap: int = 10**4):
-    """Conjugation-closure scan; returns (bool, witness)."""
-    if len(big) <= conj_cap:
-        conjugators = [big.element(i) for i in range(len(big))]
-    else:
-        conjugators = subgroup_generators(big)
-        conjugators = conjugators + [c.inverse() for c in conjugators]
+def is_normal_in(ctx: AdjointGroup, sub: Subgroup, big: Subgroup):
+    """Conjugates the generators of sub by the generators of big; for finite
+    groups this is a complete normality test.  Returns (bool, witness)."""
     ngens = subgroup_generators(sub)
-    for c in conjugators:
+    for c in subgroup_generators(big):
         cinv = c.inverse()
         for n in ngens:
             y = c * n * cinv

@@ -9,6 +9,7 @@ decomposition into local factors are all exact scans.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from typing import Iterable, Sequence
@@ -206,6 +207,8 @@ def zmod(n: int) -> FiniteRing:
 def polyquot(p: int, modulus) -> FiniteRing:
     """F_p[t]/(f) for a monic f of degree >= 1, given as coefficient list
     (little-endian) or as a string like 't^2+t+1'."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise RingConfigError(f"{p} is not a prime")
     if isinstance(modulus, str):
         coeffs_map = _parse_poly_coeffs(modulus)
         deg = max(coeffs_map)
@@ -221,9 +224,6 @@ def polyquot(p: int, modulus) -> FiniteRing:
         raise RingConfigError("modulus must have degree >= 1")
     if f[-1] != 1:
         raise RingConfigError("modulus must be monic")
-    for q in range(2, p):
-        if p % q == 0:
-            raise RingConfigError(f"{p} is not prime")
     size = p**deg
     _check_size(size)
 
@@ -399,17 +399,6 @@ class Ideal:
         return "(" + ",".join(r.name(g) for g in gens) + ")"
 
 
-def ideal_ops(a: Ideal, b: Ideal, op: str) -> Ideal:
-    """sum | product | intersection of two ideals of the same ring."""
-    if op == "sum":
-        return a.sum(b)
-    if op == "product":
-        return a.product(b)
-    if op == "intersection":
-        return a.intersection(b)
-    raise ValueError(f"unknown ideal op {op!r}")
-
-
 def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, [0], [])
 
@@ -444,9 +433,6 @@ class RingMap:
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
-
-    def apply_array(self, arr: np.ndarray) -> np.ndarray:
-        return self.table[arr]
 
     def kernel(self) -> Ideal:
         members = np.nonzero(self.table == 0)[0]
@@ -521,9 +507,6 @@ class LocalDecomposition:
             self._combine_index = idx
         return self._combine_index
 
-    def combine_elements(self, idxs: Sequence[int]) -> int:
-        return int(self.combine_index()[tuple(idxs)])
-
 
 def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
     idx = np.arange(ring.size)
@@ -541,8 +524,6 @@ def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
         s = int(ring.add[s, e])
     if s != ring.one:
         raise AssertionError("primitive idempotents do not sum to 1")
-    if ring.size > 2 and len(prim) == 1:
-        pass
     factors = []
     if len(prim) == 1:
         # local ring: keep R itself, with identity projection

@@ -14,6 +14,7 @@ ever silently truncated.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
@@ -46,16 +47,23 @@ class ScenarioError(ValueError):
 # scenario model
 
 
+def _shaped(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 class Scenario:
     def __init__(self, raw: dict, budget_override=None, seed_override=None):
         try:
             self.name = raw["name"]
             self.rs: RootSystem = from_name(raw["root_system"])
-            delta_roots = [self.rs.parse_root(e) for e in raw["delta"]]
+            delta_roots = [self.rs.parse_root(e)
+                           for e in _shaped(raw["delta"], list, "delta")]
             self.delta = Subsystem(self.rs, subsystem_closure(self.rs, delta_roots))
             self.ring: FiniteRing = make_ring(raw["ring"])
             self.strict = bool(raw.get("strict", False))
-            net_spec = raw.get("net", {})
+            net_spec = _shaped(raw.get("net", {}), dict, "net")
             assignment = {self.rs.parse_root(k): [self.ring.parse(v) for v in vals]
                           for k, vals in net_spec.items()}
             if self.strict:
@@ -68,14 +76,18 @@ class Scenario:
             else:
                 self.net = net_close(self.rs, self.delta, self.ring, assignment)
             self.checks = [c if isinstance(c, dict) else {"name": c}
-                           for c in raw.get("checks", [])]
-            self.budget = int(budget_override or raw.get("budget", DEFAULT_BUDGET))
+                           for c in _shaped(raw.get("checks", []), list, "checks")]
+            self.budget = int(budget_override if budget_override is not None
+                              else raw.get("budget", DEFAULT_BUDGET))
             self.seed = int(seed_override if seed_override is not None
                             else raw.get("seed", 0))
             self.sample_instances = int(raw.get("sample_instances",
                                                 DEFAULT_SAMPLE_INSTANCES))
         except (KeyError, RootSystemError, RingConfigError, ValueError) as e:
             raise ScenarioError(f"bad scenario: {e}") from e
+        for what, n in (("budget", self.budget), ("sample_instances", self.sample_instances)):
+            if n < 1:
+                raise ScenarioError(f"bad scenario: {what} must be at least 1, got {n}")
 
 
 class CheckResult:
@@ -220,11 +232,6 @@ class Env:
         return self._get("W_bar_sigma",
                          lambda: grp.W_bar_sigma(self.ctx, self.net, self.budget))
 
-    def full_group_order(self) -> int:
-        n = self._get("fg_order", lambda: _full_group_order(self.ctx, self.budget))
-        self.sizes["full_group"] = n
-        return n
-
     def no_A1_components(self) -> bool:
         return not any(c["is_A1"] for c in irreducible_components(self.scn.delta))
 
@@ -239,20 +246,18 @@ class Env:
                                                     self.budget))
 
     def prop1_closure(self, ideal: Ideal) -> grp.Subgroup:
-        return self._get(("prop1", ideal.members),
-                         lambda: grp.generate(self.ctx,
-                                              grp.prop1_generators(self.ctx, self.net, ideal),
-                                              self.budget, what="prop1 closure"))
+        """Conjugated root elements plus transvections, no normal closure."""
+        return self._get(("prop1", ideal.members), lambda: grp.generate(
+            self.ctx, grp.conjugated_root_elements(self.ctx, self.net, ideal)
+            + grp.transvections(self.ctx, self.net, ideal),
+            self.budget, what="prop1 closure"))
 
     def prop2_closure(self, ideal: Ideal) -> grp.Subgroup:
-        return self._get(("prop2", ideal.members),
-                         lambda: grp.generate(self.ctx,
-                                              grp.prop2_generators(self.ctx, self.net, ideal),
-                                              self.budget, what="E(sigma,I)"))
-
-
-def _full_group_order(ctx: grp.AdjointGroup, budget: int) -> int:
-    return ctx.full_group_order(budget)
+        """Conjugated root elements only (the form valid when Delta has no
+        A1 components)."""
+        return self._get(("prop2", ideal.members), lambda: grp.generate(
+            self.ctx, grp.conjugated_root_elements(self.ctx, self.net, ideal),
+            self.budget, what="E(sigma,I)"))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +268,8 @@ def check_theorem_jacobson(env: Env, params) -> CheckResult:
     name = "jacobson"
     j = env.J
     left = grp.S_sigma_relative(env.ctx, env.S, j)
-    fam = net_intersect_ideal(env.net, j)
     gens = [env.ctx.torus(c) for c in env.ctx.torus_congruence_chars(j)]
-    for root in env.rs.gauss_order:
-        for xi in sorted(fam[root].members):
-            if xi:
-                gens.append(env.ctx.x(root, xi))
+    gens += grp.E_sigma_generators(env.ctx, net_intersect_ideal(env.net, j))
     right = grp.generate(env.ctx, gens, env.budget, what="T(R,J)E(sigma cap J)")
     for key in left.keys():
         if key not in right.key2idx:
@@ -323,26 +324,16 @@ def check_theorem_normal(env: Env, params) -> CheckResult:
             i = ehat.key2idx[key]
             return CheckResult(name, "fail", reason="Ehat(sigma) escapes S(sigma)",
                                witness=element_witness(env.ctx, ehat.mats[i]))
-    if len(s) <= 10_000:
-        conjugators = [s.element(i) for i in range(len(s))]
-        mode = "exact"
-    else:
-        gens = grp.subgroup_generators(s)
-        conjugators = gens + [g.inverse() for g in gens]
-        mode = f"generators({len(conjugators)})"
-    ngens = [g for g in ehat.generators] or grp.subgroup_generators(ehat)
-    for c in conjugators:
-        cinv = c.inverse()
-        for x in ngens:
-            y = c * x * cinv
-            if y.key not in ehat.key2idx:
-                return CheckResult(
-                    name, "fail", reason="conjugate of Ehat generator escapes Ehat",
-                    witness={"conjugator": element_witness(env.ctx, c.mat, c.word),
-                             "generator": element_witness(env.ctx, x.mat, x.word)})
-    return CheckResult(name, "pass", mode=mode,
-                       details={"S_size": len(s), "E_hat_size": len(ehat),
-                                "conjugators": len(conjugators), "gens": len(ngens)})
+    ok, wit = grp.is_normal_in(env.ctx, ehat, s)
+    if not ok:
+        c, x = wit["conjugator"], wit["element"]
+        return CheckResult(name, "fail", reason="conjugate of Ehat generator escapes Ehat",
+                           witness={"conjugator": element_witness(env.ctx, c.mat, c.word),
+                                    "generator": element_witness(env.ctx, x.mat, x.word)})
+    return CheckResult(name, "pass", details={
+        "S_size": len(s), "E_hat_size": len(ehat),
+        "conjugators": len(grp.subgroup_generators(s)),
+        "gens": len(grp.subgroup_generators(ehat))})
 
 
 def check_semilocal_G(env: Env, params) -> CheckResult:
@@ -400,12 +391,11 @@ def check_theorem_finiteindex(env: Env, params) -> CheckResult:
                                reason="TE cap Wbar(sigma) != preimage of W(Delta' cap -Delta')")
         # coset label for every element of S(sigma_P)
         labels = {}
+        w_invs = [(w, fc.matrix_inverse(w)) for w in wbs_p.mats]
         for i in range(len(s_p)):
             mat = s_p.mats[i]
             found = []
-            for wi in range(len(wbs_p)):
-                w = wbs_p.mats[wi]
-                winv = fc.matrix_inverse(w)
+            for w, winv in w_invs:
                 if K.matmul(mat, winv, fc.ring.add, fc.ring.mul).tobytes() in te_keys:
                     found.append(grp.root_permutation(fc, w))
             if not found:
@@ -514,12 +504,8 @@ def check_standard_commutator(env: Env, params) -> CheckResult:
         if not ideal.members <= j.members:
             return CheckResult(name, "skipped",
                                reason="budget exceeded and I is not inside J")
-        fam = net_intersect_ideal(env.net, ideal)
         gens = [env.ctx.torus(c) for c in env.ctx.torus_congruence_chars(ideal)]
-        for root in env.rs.gauss_order:
-            for xi in sorted(fam[root].members):
-                if xi:
-                    gens.append(env.ctx.x(root, xi))
+        gens += grp.E_sigma_generators(env.ctx, net_intersect_ideal(env.net, ideal))
         s_rel = grp.generate(env.ctx, gens, env.budget, what="T(R,I)E(sigma cap I)")
         mask = grp.stabilizer_mask(env.ctx, s_rel.mats, env.net)
         cong = grp.CongruenceFilter(env.ctx, ideal).mask(s_rel.mats)
@@ -775,7 +761,7 @@ def run_scenario(scenario: Scenario) -> dict:
     if env.ctx._order is not None:
         # scheme-point order, known whenever some check sized the ambient group
         env.sizes["full_group"] = env.ctx._order
-    return {
+    report = {
         "scenario": scenario.name,
         "root_system": f"{scenario.rs.letter}{scenario.rs.rank}",
         "ring": scenario.ring.describe(),
@@ -786,6 +772,10 @@ def run_scenario(scenario: Scenario) -> dict:
         "checks": [r.to_json() for r in results],
         "sizes": {k: int(v) for k, v in sorted(env.sizes.items())},
     }
+    # groups point back at their AdjointGroup; free the cycles now, not at gen-2 GC
+    del env
+    gc.collect()
+    return report
 
 
 def load_config(path: str | Path) -> list[dict]:

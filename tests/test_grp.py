@@ -316,11 +316,23 @@ def test_is_normal_in_and_generators():
     ctx = AdjointGroup(A2, F2)
     fg = ctx.full_group(10**4)
     e = generate(ctx, [ctx.x(r, 1) for r in range(A2.nroots)], 10**4)
-    ok, _ = is_normal_in(ctx, e, fg)
-    assert ok  # E = full group here
+    ok, wit = is_normal_in(ctx, e, fg)
+    assert ok and wit is None  # E = full group here
+    a1 = A2.parse_root("a1")
+    root_group = generate(ctx, [ctx.x(a1, 1)], 10**4)
+    ok, wit = is_normal_in(ctx, root_group, fg)
+    assert not ok
+    assert wit["conjugate"].key not in root_group.key2idx
+    c, n = wit["conjugator"], wit["element"]
+    assert (c * n * c.inverse()).key == wit["conjugate"].key
     gens = subgroup_generators(fg)
     regen = generate(ctx, gens, 10**4)
     assert len(regen) == len(fg)
+
+
+def test_local_ring_is_its_own_factor_context(ctx4):
+    factors = ctx4.factor_contexts()
+    assert len(factors) == 1 and factors[0] is ctx4
 
 
 def test_dump_lines_sorted_deterministic(ctx2):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevnet.ringkit import (Ideal, RingConfigError, ideal_ops, is_field,
-                             is_local, jacobson_radical, local_decomposition,
-                             make_ring, polyquot, product, quotient_ring,
-                             unit_ideal, zero_ideal, zmod)
+from chevnet.ringkit import (Ideal, RingConfigError, is_field, is_local,
+                             jacobson_radical, local_decomposition, make_ring,
+                             polyquot, product, quotient_ring, unit_ideal,
+                             zero_ideal, zmod)
 
 
 def brute_units(ring):
@@ -43,6 +43,9 @@ def test_ring_construction_errors():
         polyquot(2, "2t^2+1")   # not monic
     with pytest.raises(RingConfigError):
         polyquot(4, "t^2")      # p not prime
+    for p in (0, 1, -3):
+        with pytest.raises(RingConfigError):
+            polyquot(p, "t^2")
     with pytest.raises(RingConfigError):
         make_ring({"kind": "nope"})
 
@@ -98,11 +101,11 @@ def test_local_decomposition_reassembly_bijective():
 def test_ideal_ops_examples():
     r = zmod(4)
     i2 = Ideal.from_gens(r, [2])
-    assert ideal_ops(i2, i2, "sum") == i2
-    assert ideal_ops(i2, i2, "product").is_zero()
-    assert ideal_ops(i2, unit_ideal(r), "intersection") == i2
+    assert i2.sum(i2) == i2
+    assert i2.product(i2).is_zero()
+    assert i2.intersection(unit_ideal(r)) == i2
     with pytest.raises(ValueError):
-        ideal_ops(i2, Ideal.from_gens(zmod(4), [2]), "sum")  # other ring object
+        i2.sum(Ideal.from_gens(zmod(4), [2]))  # other ring object
 
 
 def test_quotient_ring():

@@ -42,6 +42,14 @@ def test_scenario_errors():
         Scenario(mini_scenario(ring={"kind": "zmod", "n": 1}))
     with pytest.raises(ScenarioError):
         Scenario(mini_scenario(delta=["a1+a1"]))
+    for bad in [dict(delta=5), dict(net=["a2", "2"]), dict(checks="normal"),
+                dict(budget=0), dict(budget=-1), dict(sample_instances=0),
+                dict(ring={"kind": "polyquot", "p": 0, "modulus": "t^2"}),
+                dict(ring={"kind": "polyquot", "p": 1, "modulus": "t^2"})]:
+        with pytest.raises(ScenarioError):
+            Scenario(mini_scenario(**bad))
+    with pytest.raises(ScenarioError):
+        Scenario(mini_scenario(), budget_override=0)  # 0 is not "unset"
     scn = Scenario(mini_scenario(checks=["no_such_check"]))
     with pytest.raises(ScenarioError):
         run_scenario(scn)
@@ -111,6 +119,8 @@ def test_cli_tables_and_exit_codes(capsys):
     assert len(out) == 12  # |summable ordered pairs| in A2
     assert cli_main(["tables", "E8"]) == 2
     assert cli_main(["verify", "/nonexistent.json"]) == 2
+    assert cli_main(["verify", str(SCENARIOS / "full_net_F2.json"), "--budget", "0"]) == 2
+    assert "budget must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_net_close(capsys):
@@ -144,8 +154,8 @@ def test_numpy_backend_smoke():
 
 
 def test_normal_check_generator_mode_on_large_group(tmp_path):
-    """Above the 10^4-element threshold the normality scan conjugates by a
-    derived generating set instead of every element."""
+    """The normality scan conjugates by a derived generating set of S(sigma),
+    a complete test at every group order, so its mode is always exact."""
     raw = mini_scenario(name="bigfull", ring={"kind": "zmod", "n": 4},
                         net={"a2": ["1"], "-a2": ["1"]}, checks=["normal"])
     p = tmp_path / "s.json"
@@ -154,7 +164,7 @@ def test_normal_check_generator_mode_on_large_group(tmp_path):
     assert code == 0
     chk = report["scenarios"][0]["checks"][0]
     assert chk["status"] == "pass"
-    assert chk["mode"].startswith("generators(")
+    assert chk["mode"] == "exact"
     assert report["scenarios"][0]["sizes"]["S_sigma"] == 43008
 
 
